@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build vet test race hammer chaos bench bench-server bench-diff fuzz ci
+.PHONY: build vet test race hammer chaos bench fuzz ci
 
 build:
 	$(GO) build ./...
@@ -19,9 +19,11 @@ race:
 
 # Parallel-engine and storage-engine certificate: the shard invariance
 # tests and the compaction hammer (concurrent inserts, deletes, queries,
-# compactions and snapshots) under the race detector, repeated.
+# compactions and snapshots) under the race detector, repeated; then the
+# k-NN exactness stress at several GOMAXPROCS values.
 hammer:
 	$(GO) test -race -count=2 -run 'Shard|Hammer' ./internal/search
+	$(GO) test -cpu 1,2,4 -count=3 -run 'Invariance|ClaimedTask' ./internal/search
 
 # Fault-tolerance certificate: the chaos matrix drives every durability
 # operation (insert, delete, seal, compact, snapshot, rotate, trim)
@@ -33,20 +35,6 @@ chaos:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$
-
-# End-to-end serving benchmark: fixed-seed workload over real HTTP against
-# an in-process server; writes client percentiles + server stage means.
-bench-server:
-	$(GO) run ./cmd/benchserver -out BENCH_server.json
-
-# Compare two benchmark reports (defaults: the committed BENCH_server.json
-# against a fresh run). Exits 3 on a >20% p99 regression.
-#   make bench-diff OLD=BENCH_server.json NEW=BENCH_server.new.json
-OLD ?= BENCH_server.json
-NEW ?= BENCH_server.new.json
-bench-diff:
-	test -f $(NEW) || $(GO) run ./cmd/benchserver -out $(NEW)
-	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
 
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/tree

@@ -120,7 +120,6 @@ type config struct {
 	qlogMaxBytes int64
 	shards       int
 	refineWork   int
-	boundedOff   bool
 	memtable     int
 	compactAt    int
 	traceRing    int
@@ -162,7 +161,6 @@ func run(args []string, stderr io.Writer) int {
 	fs.Int64Var(&c.qlogMaxBytes, "qlog-max-bytes", 0, "rotate the -qlog file beyond this size (0 = 64MiB, negative disables rotation)")
 	fs.IntVar(&c.shards, "shards", 0, "dataset shards per query's filter stage (0 = GOMAXPROCS, 1 = sequential)")
 	fs.IntVar(&c.refineWork, "refine-workers", 0, "index-wide worker pool size shared by all queries (0 = GOMAXPROCS)")
-	fs.BoolVar(&c.boundedOff, "no-bounded-refine", false, "compute every verification distance in full instead of cutting off at the query threshold (results are identical; for benchmarking)")
 	fs.IntVar(&c.memtable, "memtable-size", 0, "inserts absorbed by the mutable memtable segment before it seals (0 = default)")
 	fs.IntVar(&c.compactAt, "compact-threshold", 0, "sealed segments that trigger a background compaction (0 = default, negative = manual only)")
 	fs.IntVar(&c.traceRing, "trace-ring", 0, "retained traces in the flight recorder, served on /debug/traces (0 = 256, negative disables)")
@@ -342,7 +340,6 @@ func loadIndex(c config) (*search.Index, string, error) {
 	par := []search.IndexOption{
 		search.WithShards(c.shards), search.WithRefineWorkers(c.refineWork),
 		search.WithMemtableSize(c.memtable), search.WithCompactionThreshold(c.compactAt),
-		search.WithBoundedRefine(!c.boundedOff),
 	}
 	if c.snapshot != "" {
 		ix, gen, err := server.LoadSnapshotFallback(nil, c.snapshot, c.snapKeep, par...)
@@ -408,7 +405,6 @@ func buildIndex(c config, ts []*tree.Tree, origin string) (*search.Index, string
 	}
 	ix := search.NewIndex(ts, &search.BiBranch{Q: c.q, Positional: positional},
 		search.WithShards(c.shards), search.WithRefineWorkers(c.refineWork),
-		search.WithMemtableSize(c.memtable), search.WithCompactionThreshold(c.compactAt),
-		search.WithBoundedRefine(!c.boundedOff))
+		search.WithMemtableSize(c.memtable), search.WithCompactionThreshold(c.compactAt))
 	return ix, origin, nil
 }

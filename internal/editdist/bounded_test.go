@@ -255,14 +255,13 @@ func TestDistanceWithinCellsGate(t *testing.T) {
 }
 
 // TestDistanceOptions pins the option-folding surface: defaults, nil
-// options, cost equivalence with the deprecated entry point, tightest
-// cutoff winning, and negative cutoffs.
+// options, tightest cutoff winning, and negative cutoffs.
 func TestDistanceOptions(t *testing.T) {
 	t1 := paperT1()
 	t2 := paperT2()
 	c := weighted{rel: 2, ins: 1, del: 1}
-	if got, want := Distance(t1, t2, nil, WithCost(c)), DistanceCost(t1, t2, c); got != want {
-		t.Fatalf("Distance WithCost = %d, DistanceCost = %d", got, want)
+	if got, want := Distance(t1, t2, nil, WithCost(c)), Distance(t1, t2, WithCost(c)); got != want {
+		t.Fatalf("Distance with a nil option = %d, without = %d", got, want)
 	}
 	if got, want := Distance(t1, t2, WithCost(nil)), Distance(t1, t2); got != want {
 		t.Fatalf("WithCost(nil) = %d, default = %d", got, want)

@@ -82,14 +82,6 @@ func DistanceWithin(t1, t2 *tree.Tree, cutoff int, opts ...Option) (int, bool) {
 	return distance(t1, t2, &cfg)
 }
 
-// DistanceCost returns the tree edit distance under an arbitrary cost
-// model, using the Zhang–Shasha dynamic program.
-//
-// Deprecated: use Distance(t1, t2, WithCost(c)).
-func DistanceCost(t1, t2 *tree.Tree, c CostModel) int {
-	return Distance(t1, t2, WithCost(c))
-}
-
 // distance dispatches a folded configuration: empty-tree cases first, then
 // the unbounded or the bounded program. The boolean reports dist ≤ cutoff;
 // when false the returned value is a certified lower bound > cutoff.

@@ -96,10 +96,10 @@ func TestDistanceAgainstBruteForceCustomCost(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		t1 := smallRandomTree(rng, 6, alphabet)
 		t2 := smallRandomTree(rng, 6, alphabet)
-		zs := DistanceCost(t1, t2, c)
+		zs := Distance(t1, t2, WithCost(c))
 		bf := BruteForce(t1, t2, c)
 		if zs != bf {
-			t.Fatalf("trial %d: DistanceCost(%q,%q) = %d, brute force = %d",
+			t.Fatalf("trial %d: Distance(%q,%q, WithCost) = %d, brute force = %d",
 				trial, t1, t2, zs, bf)
 		}
 	}
@@ -198,10 +198,10 @@ func TestEmptyTrees(t *testing.T) {
 		t.Errorf("Distance(empty, empty) = %d, want 0", got)
 	}
 	c := weighted{rel: 1, ins: 7, del: 3}
-	if got := DistanceCost(e, tree.MustParse("a(b)"), c); got != 14 {
+	if got := Distance(e, tree.MustParse("a(b)"), WithCost(c)); got != 14 {
 		t.Errorf("weighted insert-all = %d, want 14", got)
 	}
-	if got := DistanceCost(tree.MustParse("a(b)"), e, c); got != 6 {
+	if got := Distance(tree.MustParse("a(b)"), e, WithCost(c)); got != 6 {
 		t.Errorf("weighted delete-all = %d, want 6", got)
 	}
 }

@@ -116,7 +116,7 @@ func EditScript(t1, t2 *tree.Tree) *Script {
 
 // EditScriptCost returns an optimal edit script under an arbitrary cost
 // model, by backtracing the Zhang–Shasha dynamic program. Its cost always
-// equals DistanceCost(t1, t2, c).
+// equals Distance(t1, t2, WithCost(c)).
 func EditScriptCost(t1, t2 *tree.Tree, c CostModel) *Script {
 	a, b := decompose(t1), decompose(t2)
 	s := &Script{}

@@ -62,7 +62,7 @@ func TestScriptCostMatchesDistanceWeighted(t *testing.T) {
 		t1 := smallRandomTree(rng, 9, alphabet)
 		t2 := smallRandomTree(rng, 9, alphabet)
 		s := EditScriptCost(t1, t2, c)
-		if want := DistanceCost(t1, t2, c); s.Cost != want {
+		if want := Distance(t1, t2, WithCost(c)); s.Cost != want {
 			t.Fatalf("trial %d: script cost %d, distance %d (%q vs %q)",
 				trial, s.Cost, want, t1, t2)
 		}

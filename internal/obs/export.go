@@ -455,9 +455,8 @@ func otlpAttrAny(k string, v any) otlpKeyValue {
 // CountOTLPSpans validates an OTLP/JSON request body the way a strict
 // collector would — well-formed JSON of the expected shape, every span
 // with a 32-hex trace id, 16-hex span id, a name, and parseable
-// unix-nano timestamps — and returns the span count. Test sinks and the
-// benchserver harness use it to assert the exporter speaks real OTLP,
-// not a lookalike.
+// unix-nano timestamps — and returns the span count. Test sinks use it
+// to assert the exporter speaks real OTLP, not a lookalike.
 func CountOTLPSpans(body []byte) (int, error) {
 	var req otlpRequest
 	dec := json.NewDecoder(bytes.NewReader(body))

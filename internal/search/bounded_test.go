@@ -10,64 +10,56 @@ import (
 
 // TestBoundedRefineInvariance is the bounded verification engine's
 // exactness certificate: across every filter family, several shard counts
-// and both query kinds, an index refining against the live cutoff returns
-// byte-identical results (and identical deterministic counters) to one
-// computing every distance in full. Verified counts attempts in both
-// modes, so for range queries even the attempt counter must match.
+// and both query kinds, refining against the live cutoff returns exactly
+// the brute-force answers, and the deterministic range counters are the
+// same for every shard count.
 func TestBoundedRefineInvariance(t *testing.T) {
 	ts := testDataset(90, 53)
+	visible := make(map[int]*tree.Tree, len(ts))
+	for id, tr := range ts {
+		visible[id] = tr
+	}
 	queries := []*tree.Tree{ts[3], ts[60], testDataset(1, 77)[0]}
 	for _, f := range shardFilters() {
+		base := map[[2]int]Stats{} // range stats at S=1, by (query, tau)
 		for _, S := range []int{1, 3, 0} {
-			full := NewIndex(ts, WithFilter(freshFilter(f)), WithShards(S), WithBoundedRefine(false))
-			bounded := NewIndex(ts, WithFilter(freshFilter(f)), WithShards(S))
-			if full.BoundedRefine() || !bounded.BoundedRefine() {
-				t.Fatal("BoundedRefine accessor disagrees with the options")
-			}
+			ix := NewIndex(ts, WithFilter(freshFilter(f)), WithShards(S))
 			for qi, q := range queries {
 				for _, k := range []int{1, 5, 12} {
-					want, _, err := full.KNN(context.Background(), q, k)
+					got, st, err := ix.KNN(context.Background(), q, k)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, bstats, err := bounded.KNN(context.Background(), q, k)
-					if err != nil {
-						t.Fatal(err)
+					if want := bruteKNNAnswers(visible, q, k); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s S=%d q=%d k=%d: got %v, brute force %v", f.Name(), S, qi, k, got, want)
 					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s S=%d q=%d k=%d: bounded %v, full %v", f.Name(), S, qi, k, got, want)
-					}
-					if bstats.DPCells > bstats.DPCellsFull {
+					if st.DPCells > st.DPCellsFull {
 						t.Fatalf("%s S=%d q=%d k=%d: touched %d cells > full %d",
-							f.Name(), S, qi, k, bstats.DPCells, bstats.DPCellsFull)
+							f.Name(), S, qi, k, st.DPCells, st.DPCellsFull)
 					}
 				}
 				for _, tau := range []int{0, 2, 6} {
-					want, wstats, err := full.Range(context.Background(), q, tau)
+					got, st, err := ix.Range(context.Background(), q, tau)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, bstats, err := bounded.Range(context.Background(), q, tau)
-					if err != nil {
-						t.Fatal(err)
+					if want := bruteRangeAnswers(visible, q, tau); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s S=%d q=%d tau=%d: got %v, brute force %v", f.Name(), S, qi, tau, got, want)
 					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s S=%d q=%d tau=%d: bounded %v, full %v", f.Name(), S, qi, tau, got, want)
+					key := [2]int{qi, tau}
+					if b, ok := base[key]; !ok {
+						base[key] = st
+					} else if st.Verified != b.Verified ||
+						st.Candidates != b.Candidates ||
+						st.Results != b.Results ||
+						st.FalsePositives != b.FalsePositives {
+						t.Fatalf("%s S=%d q=%d tau=%d: stats %+v, want %+v (S=1)",
+							f.Name(), S, qi, tau, st, b)
 					}
-					if bstats.Verified != wstats.Verified ||
-						bstats.Candidates != wstats.Candidates ||
-						bstats.Results != wstats.Results ||
-						bstats.FalsePositives != wstats.FalsePositives {
-						t.Fatalf("%s S=%d q=%d tau=%d: stats %+v, want %+v",
-							f.Name(), S, qi, tau, bstats, wstats)
-					}
-					if wstats.RefineAborted != 0 || wstats.PrecheckRejects != 0 {
-						t.Fatalf("full refine reported bounded counters: %+v", wstats)
-					}
-					if bstats.Verified > 0 && bstats.DPCells >= bstats.DPCellsFull &&
-						bstats.RefineAborted+bstats.PrecheckRejects > 0 {
+					if st.Verified > 0 && st.DPCells >= st.DPCellsFull &&
+						st.RefineAborted+st.PrecheckRejects > 0 {
 						t.Fatalf("%s S=%d q=%d tau=%d: rejections without cell savings: %+v",
-							f.Name(), S, qi, tau, bstats)
+							f.Name(), S, qi, tau, st)
 					}
 				}
 			}

@@ -110,26 +110,28 @@ func TestQueryContextCanceled(t *testing.T) {
 	q := testDataset(1, 64)[0]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if res, _, err := ix.KNNContext(ctx, q, 3); err != context.Canceled || res != nil {
-		t.Fatalf("KNNContext on canceled ctx: res=%v err=%v", res, err)
+	if res, _, err := ix.KNN(ctx, q, 3); err != context.Canceled || res != nil {
+		t.Fatalf("KNN on canceled ctx: res=%v err=%v", res, err)
 	}
-	if res, _, err := ix.RangeContext(ctx, q, 2); err != context.Canceled || res != nil {
-		t.Fatalf("RangeContext on canceled ctx: res=%v err=%v", res, err)
+	if res, _, err := ix.Range(ctx, q, 2); err != context.Canceled || res != nil {
+		t.Fatalf("Range on canceled ctx: res=%v err=%v", res, err)
 	}
 }
 
-// TestQueryContextComplete: a live context leaves results identical to the
-// plain API.
+// TestQueryContextComplete: a live, cancelable context leaves results
+// identical to a background one.
 func TestQueryContextComplete(t *testing.T) {
 	ts := testDataset(40, 65)
 	ix := NewIndex(ts, NewBiBranch())
 	q := ts[7]
-	a, _, err := ix.KNNContext(context.Background(), q, 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	a, _, err := ix.KNN(ctx, q, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, _, _ := ix.KNN(context.Background(), q, 4)
 	if !sameDistances(a, b) {
-		t.Fatalf("KNNContext %v != KNN %v", dists(a), dists(b))
+		t.Fatalf("live-context KNN %v != background KNN %v", dists(a), dists(b))
 	}
 }

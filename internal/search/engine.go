@@ -42,14 +42,13 @@ import (
 //     threshold, which never rises and ends at the final k-th distance —
 //     by the lower-bound property such a tree cannot be in the answer.
 //
-// By default the refine stage is threshold-bounded: every verification
-// runs through editdist.DistanceWithin against the live cutoff (τ, or the
-// k-NN atomic threshold), so most false positives are disproven by an
-// O(n) pre-check or an early-abandoned banded DP instead of the full
-// program. This never changes results — a distance proven above the
-// cutoff can't enter the answer — only the work: see the verifier type
-// and the bounded-refine invariance tests. WithBoundedRefine(false)
-// restores full verification.
+// The refine stage is threshold-bounded: every verification runs through
+// editdist.DistanceWithin against the live cutoff (τ, or the k-NN atomic
+// threshold), so most false positives are disproven by an O(n) pre-check
+// or an early-abandoned banded DP instead of the full program. This never
+// changes results — a distance proven above the cutoff can't enter the
+// answer — only the work: see the verifier type and the bounded-refine
+// invariance tests.
 //
 // Stats.Verified (and therefore FalsePositives and Tightness) for k-NN can
 // vary with worker timing — opportunistic pruning means a fast machine may
@@ -287,7 +286,6 @@ type verifier struct {
 	cut     *qcut
 	q       *tree.Tree
 	cutoff  func() int
-	bounded bool
 	costOpt editdist.Option
 
 	verified    atomic.Int64
@@ -300,7 +298,6 @@ type verifier struct {
 func (ix *Index) newVerifier(cut *qcut, q *tree.Tree, cutoff func() int) *verifier {
 	return &verifier{
 		cut: cut, q: q, cutoff: cutoff,
-		bounded: ix.bounded,
 		costOpt: editdist.WithCost(ix.cost),
 	}
 }
@@ -315,18 +312,13 @@ func (v *verifier) verify(pos int) (si, local, gid, d int, within bool) {
 	t := v.cut.treeOf(si, local)
 	v.verified.Add(1)
 	var m editdist.Metrics
-	if v.bounded {
-		d, within = editdist.DistanceWithin(v.q, t, v.cutoff(), v.costOpt, editdist.WithMetrics(&m))
-		if !within {
-			if m.Precheck {
-				v.prechecked.Add(1)
-			} else {
-				v.aborted.Add(1)
-			}
+	d, within = editdist.DistanceWithin(v.q, t, v.cutoff(), v.costOpt, editdist.WithMetrics(&m))
+	if !within {
+		if m.Precheck {
+			v.prechecked.Add(1)
+		} else {
+			v.aborted.Add(1)
 		}
-	} else {
-		d = editdist.Distance(v.q, t, v.costOpt, editdist.WithMetrics(&m))
-		within = true
 	}
 	v.dpCells.Add(m.Cells)
 	v.dpCellsFull.Add(m.FullCells)
@@ -360,10 +352,12 @@ func clampCutoff(v int64) int {
 
 // refineKNN verifies candidates in ascending-bound order on the worker
 // pool, maintaining the k-minimal (dist, id) heap under a mutex and the
-// current k-th distance in an atomic that only ever decreases. A worker
-// that meets a bound above the threshold stops the scan: the cursor hands
-// tasks out in ascending order, so everything not yet started bounds at
-// least as high and cannot enter the answer.
+// current k-th distance in an atomic that only ever decreases. Each task
+// is pruned on its own bound: the cursor hands tasks out in ascending
+// bound order and the threshold only decreases, so once one bound is above
+// it every later task is pruned too. Pruning must not end the scan for
+// all workers, because a stalled worker may still hold a lower-bound task
+// it claimed earlier.
 //
 // The same threshold is the bounded verifier's cutoff: a candidate enters
 // the heap only with d < top.Dist, or d == top.Dist on an id tie-break, so
@@ -373,7 +367,6 @@ func (ix *Index) refineKNN(ctx context.Context, cut *qcut, q *tree.Tree, k int, 
 	var (
 		mu       sync.Mutex
 		h        = &maxHeap{}
-		stop     atomic.Bool
 		canceled atomic.Bool
 		thresh   atomic.Int64
 	)
@@ -381,12 +374,8 @@ func (ix *Index) refineKNN(ctx context.Context, cut *qcut, q *tree.Tree, k int, 
 	ver := ix.newVerifier(cut, q, func() int { return clampCutoff(thresh.Load()) })
 
 	ix.pool.run(len(order), func(j int) {
-		if stop.Load() || canceled.Load() {
-			return
-		}
 		pos := order[j]
-		if int64(bounds[pos]) > thresh.Load() {
-			stop.Store(true)
+		if canceled.Load() || int64(bounds[pos]) > thresh.Load() {
 			return
 		}
 		// A verification can cost milliseconds, so check the context on

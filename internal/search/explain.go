@@ -70,7 +70,7 @@ type BoundDist struct {
 
 // Explain is the per-query filter-quality analysis: what the filter let
 // through, what the refine stage disproved, and how tight the bounds were.
-// It is computed inside the engine (KNNExplain/RangeExplain) so the CLI,
+// It is computed inside the engine (KNN/Range with WithExplain) so the CLI,
 // the server and the offline analyzer all report identical numbers.
 type Explain struct {
 	// Op is "knn" or "range".
@@ -102,7 +102,7 @@ type Explain struct {
 	AccessedFraction float64 `json:"accessed_fraction"`
 	// RefineAborted and PrecheckRejects break down how many of the
 	// Verified attempts the bounded verifier cut short: DP early aborts
-	// and O(n) pre-check rejections (both zero under full refine).
+	// and O(n) pre-check rejections.
 	RefineAborted   int `json:"refine_aborted"`
 	PrecheckRejects int `json:"precheck_rejects"`
 	// DPCells is the dynamic-programming cells the refine stage computed;

@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -9,7 +10,7 @@ import (
 	"treesim/internal/branch"
 )
 
-// TestExplainKNNConsistency: KNNExplain returns the same results as the
+// TestExplainKNNConsistency: WithExplain returns the same rows as the
 // plain path, and the analysis is internally consistent — counters match
 // the stats, the bound distribution is monotone and covers the dataset.
 func TestExplainKNNConsistency(t *testing.T) {
@@ -18,15 +19,16 @@ func TestExplainKNNConsistency(t *testing.T) {
 	q := testDataset(1, 81)[0]
 
 	plain, _, _ := ix.KNN(context.Background(), q, 5)
-	res, stats, ex, err := ix.KNNExplain(context.Background(), q, 5)
+	var ex *Explain
+	res, stats, err := ix.KNN(context.Background(), q, 5, WithExplain(&ex))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ex == nil {
 		t.Fatal("no explain")
 	}
-	if !sameDistances(plain, res) {
-		t.Fatalf("explain path changed results: %v vs %v", dists(plain), dists(res))
+	if !reflect.DeepEqual(plain, res) {
+		t.Fatalf("explain path changed results: %v vs %v", plain, res)
 	}
 	if ex.Op != "knn" || ex.K != 5 {
 		t.Errorf("op=%q k=%d, want knn/5", ex.Op, ex.K)
@@ -61,12 +63,13 @@ func TestExplainRangeConsistency(t *testing.T) {
 	q := ts[10]
 
 	plain, _, _ := ix.Range(context.Background(), q, 4)
-	res, stats, ex, err := ix.RangeExplain(context.Background(), q, 4)
+	var ex *Explain
+	res, stats, err := ix.Range(context.Background(), q, 4, WithExplain(&ex))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameDistances(plain, res) {
-		t.Fatalf("explain path changed results")
+	if !reflect.DeepEqual(plain, res) {
+		t.Fatalf("explain path changed results: %v vs %v", plain, res)
 	}
 	if ex.Op != "range" || ex.Tau != 4 {
 		t.Errorf("op=%q tau=%d, want range/4", ex.Op, ex.Tau)
@@ -91,12 +94,11 @@ func TestTightnessWithinFactor(t *testing.T) {
 		ix := NewIndex(ts, &BiBranch{Q: q, Positional: true})
 		want := branch.Factor(q)
 		query := ts[3]
-		_, _, exK, err := ix.KNNExplain(context.Background(), query, 4)
-		if err != nil {
+		var exK, exR *Explain
+		if _, _, err := ix.KNN(context.Background(), query, 4, WithExplain(&exK)); err != nil {
 			t.Fatal(err)
 		}
-		_, _, exR, err := ix.RangeExplain(context.Background(), query, 6)
-		if err != nil {
+		if _, _, err := ix.Range(context.Background(), query, 6, WithExplain(&exR)); err != nil {
 			t.Fatal(err)
 		}
 		for _, ex := range []*Explain{exK, exR} {
@@ -127,8 +129,8 @@ func TestExplainFilterlessPaths(t *testing.T) {
 	ts := testDataset(20, 84)
 	for _, f := range []Filter{NewHisto(), NewNone()} {
 		ix := NewIndex(ts, WithFilter(f))
-		_, _, ex, err := ix.KNNExplain(context.Background(), ts[0], 3)
-		if err != nil {
+		var ex *Explain
+		if _, _, err := ix.KNN(context.Background(), ts[0], 3, WithExplain(&ex)); err != nil {
 			t.Fatal(err)
 		}
 		if len(ex.Tightness) != 0 {
@@ -148,8 +150,8 @@ func TestExplainFilterlessPaths(t *testing.T) {
 func TestExplainString(t *testing.T) {
 	ts := testDataset(30, 85)
 	ix := NewIndex(ts, NewBiBranch())
-	_, _, ex, err := ix.KNNExplain(context.Background(), ts[5], 3)
-	if err != nil {
+	var ex *Explain
+	if _, _, err := ix.KNN(context.Background(), ts[5], 3, WithExplain(&ex)); err != nil {
 		t.Fatal(err)
 	}
 	got := ex.String()

@@ -48,8 +48,7 @@ type Stats struct {
 	FalsePositives int           // verified candidates whose exact distance failed the predicate
 	FilterTime     time.Duration // time spent computing lower bounds
 	RefineTime     time.Duration // time spent computing exact distances
-	// Bounded-verification breakdown (zero when the index runs full
-	// refine): of the Verified attempts, PrecheckRejects were disproven by
+	// Bounded-verification breakdown: of the Verified attempts, PrecheckRejects were disproven by
 	// an O(n) pre-check before any DP, and RefineAborted by the DP
 	// abandoning early once the distance provably exceeded the live
 	// cutoff. DPCells is the dynamic-programming cells actually computed
@@ -132,9 +131,8 @@ func (s Stats) String() string {
 // monotonically and never reused; results across any segment layout are
 // identical (see the segment-layout invariance tests).
 type Index struct {
-	filter  Filter // the configured prototype (also the initial segment's filter)
-	cost    editdist.CostModel
-	bounded bool // WithBoundedRefine: verify against the live cutoff
+	filter Filter // the configured prototype (also the initial segment's filter)
+	cost   editdist.CostModel
 
 	shards int       // WithShards; 0 = pool size
 	pool   *workPool // shared worker budget for shard + refine helpers
@@ -174,11 +172,10 @@ func newIndexFromConfig(ts []*tree.Tree, cfg indexConfig) *Index {
 		cfg.filter = NewNone()
 	}
 	ix := &Index{
-		filter:  cfg.filter,
-		cost:    cfg.cost,
-		bounded: cfg.boundedRefine,
-		shards:  cfg.shards,
-		pool:    newWorkPool(cfg.refineWorkers),
+		filter: cfg.filter,
+		cost:   cfg.cost,
+		shards: cfg.shards,
+		pool:   newWorkPool(cfg.refineWorkers),
 	}
 	// Build the prototype before the store: the memtable hook derives its
 	// filter from the (then fully resolved) prototype configuration.
@@ -192,13 +189,6 @@ func newIndexFromConfig(ts []*tree.Tree, cfg indexConfig) *Index {
 		ix.store.Bootstrap([]*segstore.Segment{base}, nil, len(ts))
 	}
 	return ix
-}
-
-// NewIndexCost is NewIndex with an explicit cost model for the refine step.
-//
-// Deprecated: use NewIndex(ts, WithFilter(f), WithCostModel(c)).
-func NewIndexCost(ts []*tree.Tree, f Filter, c editdist.CostModel) *Index {
-	return NewIndex(ts, WithFilter(f), WithCostModel(c))
 }
 
 // Size returns the dataset's id high-water mark: the id the next insert
@@ -285,10 +275,6 @@ func (ix *Index) Shards() int { return ix.shards }
 // RefineWorkers returns the size of the index's worker pool.
 func (ix *Index) RefineWorkers() int { return ix.pool.size }
 
-// BoundedRefine reports whether the refine stage verifies candidates
-// against the live cutoff (the default) or always computes full distances.
-func (ix *Index) BoundedRefine() bool { return ix.bounded }
-
 // KNN returns the k nearest neighbors of q by tree edit distance,
 // implementing Algorithm 2 over the segmented store: lower bounds are
 // computed for every visible tree (sharded across the worker pool, each
@@ -340,38 +326,6 @@ func (ix *Index) Range(ctx context.Context, q *tree.Tree, tau int, opts ...Query
 		*qc.explain = ex
 	}
 	return res, stats, err
-}
-
-// KNNContext is the old name of KNN.
-//
-// Deprecated: use KNN.
-func (ix *Index) KNNContext(ctx context.Context, q *tree.Tree, k int) ([]Result, Stats, error) {
-	return ix.KNN(ctx, q, k)
-}
-
-// KNNExplain is KNN plus the per-query filter-quality analysis.
-//
-// Deprecated: use KNN with WithExplain.
-func (ix *Index) KNNExplain(ctx context.Context, q *tree.Tree, k int) ([]Result, Stats, *Explain, error) {
-	var ex *Explain
-	res, stats, err := ix.KNN(ctx, q, k, WithExplain(&ex))
-	return res, stats, ex, err
-}
-
-// RangeContext is the old name of Range.
-//
-// Deprecated: use Range.
-func (ix *Index) RangeContext(ctx context.Context, q *tree.Tree, tau int) ([]Result, Stats, error) {
-	return ix.Range(ctx, q, tau)
-}
-
-// RangeExplain is Range plus the per-query filter-quality analysis.
-//
-// Deprecated: use Range with WithExplain.
-func (ix *Index) RangeExplain(ctx context.Context, q *tree.Tree, tau int) ([]Result, Stats, *Explain, error) {
-	var ex *Explain
-	res, stats, err := ix.Range(ctx, q, tau, WithExplain(&ex))
-	return res, stats, ex, err
 }
 
 // maxHeap is a max-heap of Results keyed by (distance, id), holding the

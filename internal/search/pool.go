@@ -18,6 +18,11 @@ import (
 type workPool struct {
 	size int
 	sem  chan struct{} // one token per helper goroutine (size-1 of them)
+
+	// claimed, when set, runs between a worker claiming task (of n) and
+	// running it. Tests use it to stall a worker holding a claimed task;
+	// it is nil in production.
+	claimed func(task, n int)
 }
 
 // newWorkPool sizes a pool; size <= 0 means GOMAXPROCS. A pool of size 1
@@ -46,6 +51,9 @@ func (p *workPool) run(n int, fn func(task int)) {
 			t := next.Add(1)
 			if t >= int64(n) {
 				return
+			}
+			if p != nil && p.claimed != nil {
+				p.claimed(int(t), n)
 			}
 			fn(int(t))
 		}

@@ -190,8 +190,8 @@ func TestStats(t *testing.T) {
 func TestCustomCostModel(t *testing.T) {
 	ts := testDataset(30, 11)
 	c := costModel{}
-	seq := NewIndexCost(ts, NewNone(), c)
-	bib := NewIndexCost(ts, NewBiBranch(), c)
+	seq := NewIndex(ts, NewNone(), WithCostModel(c))
+	bib := NewIndex(ts, NewBiBranch(), WithCostModel(c))
 	q := ts[5]
 	want, _, _ := seq.Range(context.Background(), q, 6)
 	got, _, _ := bib.Range(context.Background(), q, 6)

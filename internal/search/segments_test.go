@@ -153,7 +153,8 @@ func TestSegmentedStatsAndExplain(t *testing.T) {
 		ix.Insert(tr)
 	}
 	ix.Delete(4)
-	res, stats, ex, err := ix.KNNExplain(context.Background(), all[20], 3)
+	var ex *Explain
+	res, stats, err := ix.KNN(context.Background(), all[20], 3, WithExplain(&ex))
 	if err != nil {
 		t.Fatal(err)
 	}

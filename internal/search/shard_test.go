@@ -233,40 +233,40 @@ func TestMergeRuns(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappers: the old query-method names still answer exactly
-// like the new surface.
-func TestDeprecatedWrappers(t *testing.T) {
-	ts := testDataset(30, 35)
-	ix := NewIndex(ts, NewBiBranch())
-	ctx := context.Background()
-	q := ts[9]
-
-	a, _, err := ix.KNN(ctx, q, 4)
-	if err != nil {
-		t.Fatal(err)
+// TestKNNClaimedTaskNotDropped pins per-task pruning in the parallel k-NN
+// refine: a worker stalled between claiming task 0 (the query's own
+// distance-0 match) and running it must still verify that task after the
+// other worker has filled the heap and claimed every remaining task, some
+// with bounds above the threshold.
+func TestKNNClaimedTaskNotDropped(t *testing.T) {
+	ts := testDataset(60, 53)
+	q := ts[3]
+	visible := make(map[int]*tree.Tree, len(ts))
+	for id, tr := range ts {
+		visible[id] = tr
 	}
-	b, _, err := ix.KNNContext(ctx, q, 4)
-	if err != nil || !reflect.DeepEqual(a, b) {
-		t.Fatalf("KNNContext diverged: %v vs %v (%v)", b, a, err)
-	}
-	var ex *Explain
-	c, _, err := ix.KNN(ctx, q, 4, WithExplain(&ex))
-	if err != nil || ex == nil || !reflect.DeepEqual(a, c) {
-		t.Fatalf("WithExplain diverged: %v vs %v (ex=%v, %v)", c, a, ex, err)
-	}
-	d, _, ex2, err := ix.KNNExplain(ctx, q, 4)
-	if err != nil || ex2 == nil || !reflect.DeepEqual(a, d) {
-		t.Fatalf("KNNExplain diverged: %v vs %v (%v)", d, a, err)
-	}
-
-	ra, _, _ := ix.Range(ctx, q, 3)
-	rb, _, err := ix.RangeContext(ctx, q, 3)
-	if err != nil || !reflect.DeepEqual(ra, rb) {
-		t.Fatalf("RangeContext diverged: %v vs %v (%v)", rb, ra, err)
-	}
-	rc, _, rex, err := ix.RangeExplain(ctx, q, 3)
-	if err != nil || rex == nil || !reflect.DeepEqual(ra, rc) {
-		t.Fatalf("RangeExplain diverged: %v vs %v (%v)", rc, ra, err)
+	want := bruteKNNAnswers(visible, q, 1)
+	for _, f := range shardFilters() {
+		ix := NewIndex(ts, WithFilter(freshFilter(f)), WithShards(1), WithRefineWorkers(2))
+		lastClaimed := make(chan struct{})
+		ix.pool.claimed = func(task, n int) {
+			if n == 1 {
+				return // the single-shard filter stage
+			}
+			if task == n-1 {
+				close(lastClaimed)
+			}
+			if task == 0 {
+				<-lastClaimed
+			}
+		}
+		got, _, err := ix.KNN(context.Background(), q, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: got %v, brute force %v", f.Name(), got, want)
+		}
 	}
 }
 

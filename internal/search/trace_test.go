@@ -36,7 +36,7 @@ func TestKNNContextSpans(t *testing.T) {
 
 	root := obs.New("query")
 	ctx := obs.NewContext(context.Background(), root)
-	_, stats, err := ix.KNNContext(ctx, ts[3], 4)
+	_, stats, err := ix.KNN(ctx, ts[3], 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +79,12 @@ func TestKNNContextSpans(t *testing.T) {
 func TestRangeContextSpansUntraced(t *testing.T) {
 	ts := traceDataset(t, 40)
 	ix := NewIndex(ts, NewBiBranch())
-	r1, s1, err := ix.RangeContext(context.Background(), ts[0], 3)
+	r1, s1, err := ix.Range(context.Background(), ts[0], 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	root := obs.New("query")
-	r2, s2, err := ix.RangeContext(obs.NewContext(context.Background(), root), ts[0], 3)
+	r2, s2, err := ix.Range(obs.NewContext(context.Background(), root), ts[0], 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestPivotStageAttrs(t *testing.T) {
 	ix := NewIndex(ts, NewPivotBiBranch(), WithShards(1))
 
 	root := obs.New("query")
-	_, _, err := ix.RangeContext(obs.NewContext(context.Background(), root), ts[7], 2)
+	_, _, err := ix.Range(obs.NewContext(context.Background(), root), ts[7], 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestVPTreeSpan(t *testing.T) {
 	ix := NewIndex(ts, NewVPBiBranch(), WithShards(1))
 
 	root := obs.New("query")
-	res, stats, err := ix.RangeContext(obs.NewContext(context.Background(), root), ts[5], 1)
+	res, stats, err := ix.Range(obs.NewContext(context.Background(), root), ts[5], 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,20 +96,16 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrCodeInvalidTree, err.Error(), requestID(w))
 		return
 	}
-	var (
-		res   []search.Result
-		stats search.Stats
-		ex    *search.Explain
-	)
 	// EXPLAIN analysis runs at most once per request; setExplain hands the
 	// one record to every consumer — the ?explain=1 response below, the
 	// slow-query log's deferred record, and the flight recorder's retained
 	// trace — instead of each forcing its own analysis.
+	var ex *search.Explain
+	var explain search.QueryOption // nil options are skipped
 	if wantExplain(r) || s.cfg.SlowQuery != nil {
-		res, stats, ex, err = s.ix.KNNExplain(r.Context(), q, req.K)
-	} else {
-		res, stats, err = s.ix.KNNContext(r.Context(), q, req.K)
+		explain = search.WithExplain(&ex)
 	}
+	res, stats, err := s.ix.KNN(r.Context(), q, req.K, explain)
 	if err != nil {
 		status, code, msg := ctxStatus(err)
 		writeError(w, status, code, msg, requestID(w))
@@ -143,17 +139,13 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrCodeInvalidTree, err.Error(), requestID(w))
 		return
 	}
-	var (
-		res   []search.Result
-		stats search.Stats
-		ex    *search.Explain
-	)
 	// Same EXPLAIN compute-once-and-share discipline as handleKNN.
+	var ex *search.Explain
+	var explain search.QueryOption
 	if wantExplain(r) || s.cfg.SlowQuery != nil {
-		res, stats, ex, err = s.ix.RangeExplain(r.Context(), q, req.Tau)
-	} else {
-		res, stats, err = s.ix.RangeContext(r.Context(), q, req.Tau)
+		explain = search.WithExplain(&ex)
 	}
+	res, stats, err := s.ix.Range(r.Context(), q, req.Tau, explain)
 	if err != nil {
 		status, code, msg := ctxStatus(err)
 		writeError(w, status, code, msg, requestID(w))
@@ -271,9 +263,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				var stats search.Stats
 				var err error
 				if req.Op == "knn" {
-					res, stats, err = s.ix.KNNContext(qctx, qs[i], req.K)
+					res, stats, err = s.ix.KNN(qctx, qs[i], req.K)
 				} else {
-					res, stats, err = s.ix.RangeContext(qctx, qs[i], req.Tau)
+					res, stats, err = s.ix.Range(qctx, qs[i], req.Tau)
 				}
 				qsp.End()
 				if err != nil {

@@ -85,6 +85,34 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsBoundedRefineCountersFire: after a small k-NN workload drawn
+// from the dataset, /metrics reports over HTTP that the bounded refine cut
+// verifications short by both mechanisms — DP early aborts and O(n)
+// pre-check rejections — and touched strictly fewer DP cells than full
+// verification of the same pairs would have.
+func TestMetricsBoundedRefineCountersFire(t *testing.T) {
+	_, hs, ts := newTestServer(t, quietConfig(), 200, 9)
+	for i := 0; i < 20; i++ {
+		if code := postJSON(t, hs.URL+"/v1/knn", KNNRequest{Tree: ts[i*10].String(), K: 10}, nil); code != 200 {
+			t.Fatalf("knn status %d", code)
+		}
+	}
+	var snap Snapshot
+	if code := getJSON(t, hs.URL+"/metrics", &snap); code != 200 {
+		t.Fatalf("metrics status %d", code)
+	}
+	q := snap.Queries
+	if q.RefineAbortedTotal <= 0 {
+		t.Errorf("refine_aborted_total = %d, want > 0", q.RefineAbortedTotal)
+	}
+	if q.PrecheckRejectsTotal <= 0 {
+		t.Errorf("precheck_rejects_total = %d, want > 0", q.PrecheckRejectsTotal)
+	}
+	if q.DPCellsTotal >= q.DPCellsFullTotal {
+		t.Errorf("dp_cells_total = %d, want < dp_cells_full_total = %d", q.DPCellsTotal, q.DPCellsFullTotal)
+	}
+}
+
 // TestMetricsObserve: direct unit check of the histogram bucketing edges.
 func TestMetricsObserve(t *testing.T) {
 	m := NewMetrics()

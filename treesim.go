@@ -114,12 +114,6 @@ func EditDistanceWithin(t1, t2 *Tree, cutoff int, opts ...EditOption) (int, bool
 	return editdist.DistanceWithin(t1, t2, cutoff, opts...)
 }
 
-// EditDistanceCost returns the tree edit distance under a custom cost
-// model.
-//
-// Deprecated: use EditDistance(t1, t2, WithEditCost(c)).
-func EditDistanceCost(t1, t2 *Tree, c CostModel) int { return editdist.DistanceCost(t1, t2, c) }
-
 // ConstrainedEditDistance returns Zhang's constrained edit distance
 // (Pattern Recognition 1995): an O(|T1|·|T2|) metric that upper-bounds the
 // unrestricted edit distance by restricting mappings so separate subtrees
@@ -179,8 +173,8 @@ type Stats = search.Stats
 type Explain = search.Explain
 
 // IndexOption configures NewIndex and LoadIndex; see WithFilter,
-// WithCostModel, WithBoundedRefine, WithShards, WithRefineWorkers,
-// WithMemtableSize and WithCompactionThreshold. Concrete filter values
+// WithCostModel, WithShards, WithRefineWorkers, WithMemtableSize and
+// WithCompactionThreshold. Concrete filter values
 // returned by the New*Filter constructors are themselves IndexOptions.
 type IndexOption = search.IndexOption
 
@@ -198,25 +192,12 @@ type QueryOption = search.QueryOption
 // results.
 func NewIndex(ts []*Tree, opts ...IndexOption) *Index { return search.NewIndex(ts, opts...) }
 
-// NewIndexCost is NewIndex with a custom refine cost model.
-//
-// Deprecated: use NewIndex(ts, WithFilter(f), WithCostModel(c)).
-func NewIndexCost(ts []*Tree, f Filter, c CostModel) *Index {
-	return search.NewIndexCost(ts, f, c)
-}
-
 // WithFilter selects the index's filter (nil means sequential scan).
 func WithFilter(f Filter) IndexOption { return search.WithFilter(f) }
 
 // WithCostModel sets the refine stage's edit cost model; filtering
 // remains exact as long as every operation costs at least 1.
 func WithCostModel(m CostModel) IndexOption { return search.WithCostModel(m) }
-
-// WithBoundedRefine selects threshold-bounded verification in the refine
-// stage (the default): exact distances are computed only as far as the
-// live cutoff requires. Results are identical either way; pass false to
-// force full verification.
-func WithBoundedRefine(enabled bool) IndexOption { return search.WithBoundedRefine(enabled) }
 
 // WithShards sets how many dataset shards a query's filter stage fans out
 // over (0 = GOMAXPROCS, 1 = sequential). Results are shard-invariant.
